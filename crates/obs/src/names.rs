@@ -41,7 +41,9 @@ pub const CACHE_INSERTIONS_TOTAL: &str = "sortsynth_cache_insertions_total";
 pub const CACHE_EVICTIONS_TOTAL: &str = "sortsynth_cache_evictions_total";
 /// Disk entries rejected by the verification gate.
 pub const CACHE_VERIFY_REJECTED_TOTAL: &str = "sortsynth_cache_verify_rejected_total";
-/// Latency of disk-log scans on a memory miss, seconds.
+/// Latency of reading back the log frames a memory miss's directory lookup
+/// found, seconds. Misses the directory rules out read no frame and are not
+/// observed.
 pub const CACHE_DISK_PROMOTION_SECONDS: &str = "sortsynth_cache_disk_promotion_seconds";
 
 // --- verification ---
@@ -198,7 +200,7 @@ pub fn portfolio_ttfs_seconds() -> Arc<Histogram> {
 pub fn cache_disk_promotion_seconds() -> Arc<Histogram> {
     registry().histogram(
         CACHE_DISK_PROMOTION_SECONDS,
-        "Disk-log scan latency on memory miss, in seconds.",
+        "Latency of reading back candidate disk-log frames on a memory miss, in seconds.",
         LATENCY_BUCKETS,
     )
 }
